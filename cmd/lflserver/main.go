@@ -236,6 +236,13 @@ func run(args []string) error {
 		}()
 	}
 
+	// Take over SIGINT/SIGTERM before anything can answer a client: a
+	// signal that arrives once the listeners are up must drain, not kill
+	// the process with acknowledged writes still in the WAL ring.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	shutdowners := []server.Shutdowner{srv}
 	if *adminAddr != "" {
 		// One scrape answers the full latency question: the store's own
@@ -273,8 +280,6 @@ func run(args []string) error {
 	fmt.Printf("lflserver: serving %d-shard store on %s (keys [%d, %d))\n",
 		*shards, srv.Addr(), *keyLo, *keyHi)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,18 @@ import (
 	"testing"
 	"time"
 )
+
+// childEnv, when set, makes the test binary run the command itself, so a
+// test can signal a real lflserver process without building it first.
+const childEnv = "LFLSERVER_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(childEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 func TestRunBadFlags(t *testing.T) {
 	cases := []struct {
@@ -199,6 +212,50 @@ func TestRunGroupBatchDrainsMidBurst(t *testing.T) {
 		if got[i] != sent[i] {
 			t.Errorf("conn %d: %d replies for %d sent commands (dropped %d)",
 				i, got[i], sent[i], sent[i]-got[i])
+		}
+	}
+}
+
+// TestSIGTERMAtFirstDialDrains signals a child lflserver the moment its
+// listener first accepts a connection. The signal handler must already be
+// installed by then: a SIGTERM that lands between accept and
+// signal.Notify kills the process without draining, and in async WAL mode
+// loses acknowledged writes. The child must exit 0 and report a clean
+// drain on every attempt.
+func TestSIGTERMAtFirstDialDrains(t *testing.T) {
+	for attempt := 0; attempt < 3; attempt++ {
+		addr := freePort(t)
+		cmd := exec.Command(os.Args[0], "-addr", addr, "-shards", "2", "-key-hi", "1024",
+			"-wal-dir", t.TempDir(), "-drain-timeout", "5s")
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			nc, err := net.Dial("tcp", addr)
+			if err == nil {
+				nc.Close()
+				break
+			}
+			if time.Now().After(deadline) {
+				cmd.Process.Kill()
+				cmd.Wait()
+				t.Fatalf("attempt %d: server never came up on %s: %v\n%s", attempt, addr, err, out.String())
+			}
+			time.Sleep(time.Millisecond) // leave the CPU to the child's WAL recovery
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("attempt %d: lflserver exited with %v after SIGTERM at first dial, want a clean drain\n%s",
+				attempt, err, out.String())
+		}
+		if !strings.Contains(out.String(), "drained cleanly") {
+			t.Fatalf("attempt %d: no clean-drain report after SIGTERM\n%s", attempt, out.String())
 		}
 	}
 }

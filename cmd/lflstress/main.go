@@ -280,6 +280,20 @@ func newChecked(impl string, shards, keyRange int, recycle bool, tel *ltel.Telem
 	}
 }
 
+// denseReruns bounds how many times an in-process round is rerun on a
+// fresh seed when its history is too dense for the checker. Density comes
+// from scheduling (a worker descheduled inside an operation overlaps every
+// other operation on that key), so a rerun usually checks; only checked
+// rounds count towards the run's totals and its -recycle reuse assertion.
+const denseReruns = 3
+
+// roundSeed is the seed of one run of a round: -seed plus the round, as
+// for every round that is not rerun, and a disjoint seed per rerun. A
+// round run on seed s is replayed by `-seed s -rounds 1`.
+func roundSeed(seed uint64, round, rerun int) uint64 {
+	return seed + uint64(round) + uint64(rerun)<<32
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("lflstress", flag.ContinueOnError)
 	impl := fs.String("impl", "fr-skiplist", "implementation: fr-list, fr-skiplist, harris-list, harris-skiplist, sundell-skiplist, valois-list, noflag-list")
@@ -335,7 +349,9 @@ func run(args []string) error {
 
 	totalOps := 0
 	var totalRecycled, totalDropped uint64
+	reruns := 0 // of the current round (see denseReruns)
 	for round := 0; round < *rounds; round++ {
+		rseed := roundSeed(*seed, round, reruns)
 		d, err := newChecked(*impl, *shards, *keys, *recycle, tel)
 		if err != nil {
 			return err
@@ -352,7 +368,7 @@ func run(args []string) error {
 			go func(w int) {
 				defer wg.Done()
 				th := rec.Thread(w)
-				rng := rand.New(rand.NewPCG(*seed+uint64(round), uint64(w)))
+				rng := rand.New(rand.NewPCG(rseed, uint64(w)))
 				if *batch > 0 {
 					runBatchWorker(d.(batchChecked), th, rng, *ops, *keys, *batch)
 					return
@@ -375,15 +391,23 @@ func run(args []string) error {
 		}
 		wg.Wait()
 		if err := d.validate(); err != nil {
-			return fmt.Errorf("round %d: structural invariant violated: %w", round, err)
+			return fmt.Errorf("round %d (seed %d): structural invariant violated: %w", round, rseed, err)
 		}
 		if err := history.Check(rec.Ops()); err != nil {
 			if _, dense := err.(*history.ErrTooDense); dense {
-				fmt.Printf("round %d: %v (inconclusive; lower -ops or raise -keys)\n", round, err)
+				if reruns < denseReruns {
+					fmt.Printf("round %d (seed %d): %v (too dense to check; rerunning on a fresh seed)\n", round, rseed, err)
+					reruns++
+					round--
+					continue
+				}
+				fmt.Printf("round %d (seed %d): %v (inconclusive; lower -ops or raise -keys)\n", round, rseed, err)
+				reruns = 0
 				continue
 			}
-			return fmt.Errorf("round %d: %w", round, err)
+			return fmt.Errorf("round %d (seed %d): %w", round, rseed, err)
 		}
+		reruns = 0
 		totalOps += *threads * *ops
 		if *recycle {
 			// Quiesce the round's domain and fold in its reuse totals: the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/instrument"
+	"repro/internal/telemetry"
 )
 
 // These tests pin the zero-allocation contract of the interned-record hot
@@ -12,6 +13,18 @@ import (
 // retries contention forces. They are the regression guard for the
 // interning of successor records (node.go / skipnode.go): reintroducing a
 // per-CAS record allocation fails them immediately.
+
+// The skip-list gates run twice: detached, and with a recorder sampling
+// every operation, as lflserver attaches one. A sampled operation must
+// allocate exactly what a detached one does (telemetry.go pools its
+// scratch Proc and OpStats).
+
+// sampleEveryOp returns a recorder that samples every operation.
+func sampleEveryOp() *telemetry.Recorder {
+	rec := telemetry.NewRecorder(1)
+	rec.SetSampleEvery(1)
+	return rec
+}
 
 // zeroRng makes every skip-list tower height 1 (the first coin flip is
 // "tails"), so skip-list alloc counts are deterministic.
@@ -115,8 +128,12 @@ func TestAllocsListInsertRetry(t *testing.T) {
 	}
 }
 
-func TestAllocsSkipListGet(t *testing.T) {
+func TestAllocsSkipListGet(t *testing.T)          { allocsSkipListGet(t, nil) }
+func TestAllocsSkipListGetTelemetry(t *testing.T) { allocsSkipListGet(t, sampleEveryOp()) }
+
+func allocsSkipListGet(t *testing.T, rec *telemetry.Recorder) {
 	l := NewSkipList[int, int]()
+	l.SetTelemetry(rec)
 	for k := 0; k < 128; k++ {
 		l.Insert(nil, k, k)
 	}
@@ -131,8 +148,12 @@ func TestAllocsSkipListGet(t *testing.T) {
 	}
 }
 
-func TestAllocsSkipListDelete(t *testing.T) {
+func TestAllocsSkipListDelete(t *testing.T)          { allocsSkipListDelete(t, nil) }
+func TestAllocsSkipListDeleteTelemetry(t *testing.T) { allocsSkipListDelete(t, sampleEveryOp()) }
+
+func allocsSkipListDelete(t *testing.T, rec *telemetry.Recorder) {
 	l := NewSkipList[int, int]()
+	l.SetTelemetry(rec)
 	const runs = 400
 	for k := 0; k < runs+2; k++ {
 		l.Insert(nil, k, k)
@@ -152,10 +173,14 @@ func TestAllocsSkipListDelete(t *testing.T) {
 	}
 }
 
-func TestAllocsSkipListInsert(t *testing.T) {
+func TestAllocsSkipListInsert(t *testing.T)          { allocsSkipListInsert(t, nil) }
+func TestAllocsSkipListInsertTelemetry(t *testing.T) { allocsSkipListInsert(t, sampleEveryOp()) }
+
+func allocsSkipListInsert(t *testing.T, rec *telemetry.Recorder) {
 	// Fixed height-1 towers make the alloc count deterministic: one root
 	// node per successful insert.
 	l := NewSkipList[int, int](WithRandomSource(zeroRng))
+	l.SetTelemetry(rec)
 	for k := 0; k < 64; k++ {
 		l.Insert(nil, k, k)
 	}
@@ -291,8 +316,12 @@ func TestAllocsListFinger(t *testing.T) {
 	}
 }
 
-func TestAllocsSkipListFinger(t *testing.T) {
+func TestAllocsSkipListFinger(t *testing.T)          { allocsSkipListFinger(t, nil) }
+func TestAllocsSkipListFingerTelemetry(t *testing.T) { allocsSkipListFinger(t, sampleEveryOp()) }
+
+func allocsSkipListFinger(t *testing.T, rec *telemetry.Recorder) {
 	l := NewSkipList[int, int](WithRandomSource(zeroRng))
+	l.SetTelemetry(rec)
 	const runs = 400
 	for k := 0; k < runs+2; k++ {
 		l.Insert(nil, k, k)

@@ -89,7 +89,8 @@ func (l *List[K, V]) ascend(fn func(k K, v V) bool) {
 // list), towers are vertically consistent (Figure 6) - each node's down
 // pointer leads to a node with the same key one level below, towerRoot
 // pointers reach level 1 - and every node present on level v+1 has its
-// whole tower below it present.
+// whole tower below it present. Every reachable node's interned records
+// must point at it and carry its current kind and root bit.
 func (l *SkipList[K, V]) CheckStructure() error {
 	defer l.opPin(nil).Unpin()
 	// Per-level linked-list invariants plus key sets per level.
@@ -99,6 +100,9 @@ func (l *SkipList[K, V]) CheckStructure() error {
 		prev := l.heads[lv-1]
 		seen := 0
 		for {
+			if err := prev.checkRecords(); err != nil {
+				return fmt.Errorf("level %d, node %d: %w", lv, seen, err)
+			}
 			s := prev.loadSucc()
 			if s.marked && s.flagged {
 				return fmt.Errorf("level %d: INV5 violated", lv)
@@ -117,7 +121,7 @@ func (l *SkipList[K, V]) CheckStructure() error {
 				return fmt.Errorf("level %d: INV1 violated: %w", lv, err)
 			}
 			if next.kind == kindInterior {
-				if next.level != lv {
+				if int(next.level) != lv {
 					return fmt.Errorf("level %d: node with key %v records level %d", lv, next.key, next.level)
 				}
 				keys[next.key] = next
@@ -158,6 +162,19 @@ func (l *SkipList[K, V]) CheckStructure() error {
 		}
 		if h.up != wantUpH || t.up != wantUpT {
 			return fmt.Errorf("level %d: sentinel up pointers are miswired", lv)
+		}
+	}
+	return nil
+}
+
+// checkRecords verifies n's interned records: each points at n and carries
+// n's kind and root bit, which searches read in place of n's own fields.
+func (n *SLNode[K, V]) checkRecords() error {
+	root := n.towerRoot == n
+	for i := range n.refs {
+		if r := &n.refs[i]; r.right != n || r.kind != n.kind || r.root != root {
+			return fmt.Errorf("record %d is {kind %d, root %t, self %t}, want {kind %d, root %t, self true}",
+				i, r.kind, r.root, r.right == n, n.kind, root)
 		}
 	}
 	return nil

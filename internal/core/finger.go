@@ -156,10 +156,9 @@ func (f *Finger[K, V]) Search(p *Proc, k K) *Node[K, V] {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return n
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n := f.search(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	sc := getScratch(p)
+	n := f.search(&sc.pr, k)
+	sc.finish(l.tel, tok, telemetry.OpGet, p)
 	return n
 }
 
@@ -176,10 +175,9 @@ func (f *Finger[K, V]) Get(p *Proc, k K) (V, bool) {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return v, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	v, ok := f.get(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	sc := getScratch(p)
+	v, ok := f.get(&sc.pr, k)
+	sc.finish(l.tel, tok, telemetry.OpGet, p)
 	return v, ok
 }
 
@@ -197,10 +195,9 @@ func (f *Finger[K, V]) Insert(p *Proc, k K, v V) (*Node[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := f.insert(&pr, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, st)
+	sc := getScratch(p)
+	n, ok := f.insert(&sc.pr, k, v)
+	sc.finish(l.tel, tok, telemetry.OpInsert, p)
 	return n, ok
 }
 
@@ -217,10 +214,9 @@ func (f *Finger[K, V]) Delete(p *Proc, k K) (*Node[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := f.remove(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, st)
+	sc := getScratch(p)
+	n, ok := f.remove(&sc.pr, k)
+	sc.finish(l.tel, tok, telemetry.OpDelete, p)
 	return n, ok
 }
 
@@ -399,10 +395,9 @@ func (f *SkipFinger[K, V]) Search(p *Proc, k K) *SLNode[K, V] {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return n
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n := l.searchVia(&pr, f, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	sc := getScratch(p)
+	n := l.searchVia(&sc.pr, f, k)
+	sc.finish(l.tel, tok, telemetry.OpGet, p)
 	return n
 }
 
@@ -428,10 +423,9 @@ func (f *SkipFinger[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.insertVia(&pr, f, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, st)
+	sc := getScratch(p)
+	n, ok := l.insertVia(&sc.pr, f, k, v)
+	sc.finish(l.tel, tok, telemetry.OpInsert, p)
 	return n, ok
 }
 
@@ -448,9 +442,8 @@ func (f *SkipFinger[K, V]) Delete(p *Proc, k K) (*SLNode[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.removeVia(&pr, f, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, st)
+	sc := getScratch(p)
+	n, ok := l.removeVia(&sc.pr, f, k)
+	sc.finish(l.tel, tok, telemetry.OpDelete, p)
 	return n, ok
 }

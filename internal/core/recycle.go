@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/ebr"
+	"repro/internal/telemetry"
 )
 
 // This file wires internal/ebr's node recycling into the structures. With
@@ -31,9 +32,13 @@ import (
 //     chain plus the root in one batch. A pinned holder of ANY tower
 //     node therefore blocks reuse of EVERY node of that tower.
 //
-// Node identity survives reuse trivially for the interned-successor ABA
-// argument: refs[...] depend only on the node's address, so a recycled
-// node is NOT re-interned — its records are already correct.
+// Node identity survives reuse for the interned-successor ABA argument:
+// a record's right pointer depends only on the node's address. A
+// reissued skip-list node is nevertheless re-interned, because its
+// records also carry its root bit, and a node can serve as a root in one
+// life and as an upper node in the next. The rewrite happens after the
+// grace period and before republication, so no reader can observe it
+// (DESIGN.md §2.1 addendum). List nodes keep their records as they are.
 
 // recycler bundles a structure's reclamation domain with its free list.
 // One per structure; towers and list nodes are uniform in size (a tower
@@ -46,6 +51,20 @@ type recycler struct {
 
 func newRecycler() *recycler {
 	return &recycler{dom: ebr.NewDomain(), pool: ebr.NewPool(0)}
+}
+
+// count makes the domain report its batch events (epoch advances,
+// recycled nodes) to rec exactly, or stops when rec is nil. Sampled
+// per-operation flushes cannot estimate them (instrument.Counter.Batch).
+func (r *recycler) count(rec *telemetry.Recorder) {
+	if r == nil {
+		return
+	}
+	if rec == nil {
+		r.dom.SetCounters(nil) // not a typed nil in the interface
+		return
+	}
+	r.dom.SetCounters(rec)
 }
 
 // pin opens a critical section for one operation, or returns nil (a
@@ -99,7 +118,10 @@ func (l *SkipList[K, V]) PinEpoch() *ebr.Pin {
 // EnableRecycling switches the list to epoch-based node recycling. Must
 // be called before the list is shared (the field is read without
 // synchronization on operation entry); it cannot be disabled again.
-func (l *List[K, V]) EnableRecycling() { l.rec = newRecycler() }
+func (l *List[K, V]) EnableRecycling() {
+	l.rec = newRecycler()
+	l.rec.count(l.tel)
+}
 
 // RecyclingEnabled reports whether the list recycles nodes.
 func (l *List[K, V]) RecyclingEnabled() bool { return l.rec != nil }
@@ -203,6 +225,7 @@ func (l *SkipList[K, V]) newRoot(p *Proc, k K, v V) *SLNode[K, V] {
 			n.backlink.Store(nil)
 			n.reLink.Store(nil)
 			n.towerLive.Store(1)
+			n.intern()
 			return n
 		}
 	}
@@ -221,15 +244,16 @@ func (l *SkipList[K, V]) newUpper(p *Proc, k K, lv int, down, root *SLNode[K, V]
 		if raw := l.rec.pool.Get(p.StatsOrNil()); raw != nil {
 			n := raw.(*SLNode[K, V])
 			var zero V
-			n.key, n.val, n.level = k, zero, lv
+			n.key, n.val, n.level = k, zero, int16(lv)
 			n.down = down
 			n.towerRoot = root
 			n.backlink.Store(nil)
 			n.reLink.Store(nil)
+			n.intern()
 			return n
 		}
 	}
-	n := &SLNode[K, V]{key: k, level: lv, down: down, towerRoot: root}
+	n := &SLNode[K, V]{key: k, level: int16(lv), down: down, towerRoot: root}
 	n.intern()
 	return n
 }

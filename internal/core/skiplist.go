@@ -127,14 +127,14 @@ func NewSkipListFunc[K comparable, V any](compare func(K, K) int, opts ...SkipLi
 		l.rec = newRecycler()
 	}
 	for i := 0; i < cfg.maxLevel; i++ {
-		l.heads[i] = &SLNode[K, V]{kind: kindHead, level: i + 1}
-		l.tails[i] = &SLNode[K, V]{kind: kindTail, level: i + 1}
-		l.heads[i].intern()
-		l.tails[i].intern()
+		l.heads[i] = &SLNode[K, V]{kind: kindHead, level: int16(i + 1)}
+		l.tails[i] = &SLNode[K, V]{kind: kindTail, level: int16(i + 1)}
 	}
 	for i := 0; i < cfg.maxLevel; i++ {
 		h, t := l.heads[i], l.tails[i]
 		h.towerRoot, t.towerRoot = l.heads[0], l.tails[0]
+		h.intern()
+		t.intern()
 		h.succ.Store(t.asClean())
 		t.succ.Store(&slSucc[K, V]{right: nil}) // the one record no node interns
 		if i > 0 {
@@ -219,8 +219,9 @@ func (l *SkipList[K, V]) searchVia(p *Proc, s slSearcher[K, V], k K) *SLNode[K, 
 }
 
 // cmpNode orders node n against key k treating sentinels as -inf/+inf.
+// It reads only n's first cache line (records and key; see SLNode).
 func (l *SkipList[K, V]) cmpNode(n *SLNode[K, V], k K) int {
-	switch n.kind {
+	switch n.hopKind() {
 	case kindHead:
 		return -1
 	case kindTail:

@@ -27,7 +27,7 @@ func (l *SkipList[K, V]) findStart(v int) (*SLNode[K, V], int) {
 		if up == curr {
 			break // top of the head tower
 		}
-		if lv >= v && up.right().kind == kindTail {
+		if lv >= v && up.loadSucc().kind == kindTail {
 			break // the level above is empty and we are high enough
 		}
 		curr = up

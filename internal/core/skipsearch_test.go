@@ -23,7 +23,7 @@ func TestSearchToLevelPostconditions(t *testing.T) {
 	for v := 1; v <= 4; v++ {
 		for k := -1; k <= 201; k++ {
 			curr, next := l.searchToLevel(nil, k, v, false)
-			if curr.level != v && curr.kind == kindInterior {
+			if curr.Level() != v && curr.kind == kindInterior {
 				t.Fatalf("level %d: curr on level %d", v, curr.level)
 			}
 			if !(l.cmpNode(curr, k) <= 0) || !(l.cmpNode(next, k) > 0) {

@@ -21,11 +21,10 @@ import (
 //
 //   - unsampled operations run with the caller's own Proc untouched and
 //     pay one atomic load plus one striped atomic add,
-//   - sampled operations borrow a scratch OpStats from a sync.Pool (it
-//     cannot live on the stack: the hook interface call in the inner
-//     operations makes escape analysis spill anything reachable from the
-//     Proc), read the clock twice, and flush a handful of striped atomic
-//     adds — never per step, so the algorithms' hot loops are untouched.
+//   - sampled operations borrow a pooled scratch Proc and OpStats (see
+//     scratch), read the clock twice, and flush a handful of striped
+//     atomic adds — never per step, so the algorithms' hot loops are
+//     untouched, and nothing is allocated.
 //
 // A caller-supplied Proc always sees exact stats: unsampled operations
 // write straight into it, sampled ones mirror the scratch back.
@@ -33,48 +32,62 @@ import (
 // SetTelemetry attaches rec to the list; every subsequent operation flushes
 // its step counts and latency into it. Attach before the list is shared
 // with other goroutines (the field is read without synchronization on
-// operation entry). A nil rec detaches.
-func (l *List[K, V]) SetTelemetry(rec *telemetry.Recorder) { l.tel = rec }
+// operation entry). A nil rec detaches. With recycling on, the
+// reclamation domain reports its batch events to rec too.
+func (l *List[K, V]) SetTelemetry(rec *telemetry.Recorder) {
+	l.tel = rec
+	l.rec.count(rec)
+}
 
 // Telemetry returns the attached recorder, or nil.
 func (l *List[K, V]) Telemetry() *telemetry.Recorder { return l.tel }
 
 // SetTelemetry attaches rec to the skip list; see List.SetTelemetry.
-func (l *SkipList[K, V]) SetTelemetry(rec *telemetry.Recorder) { l.tel = rec }
+func (l *SkipList[K, V]) SetTelemetry(rec *telemetry.Recorder) {
+	l.tel = rec
+	l.rec.count(rec)
+}
 
 // Telemetry returns the attached recorder, or nil.
 func (l *SkipList[K, V]) Telemetry() *telemetry.Recorder { return l.tel }
 
-// statsPool recycles scratch OpStats for sampled operations.
-var statsPool = sync.Pool{New: func() any { return new(OpStats) }}
-
-func getScratch() *OpStats {
-	st := statsPool.Get().(*OpStats)
-	*st = OpStats{}
-	return st
+// scratch is the state of one sampled operation: the Proc it runs under
+// and the OpStats its steps are counted in. Both live in one pooled
+// object, because the hook interface call in the inner operations makes
+// escape analysis spill the Proc to the heap; pooled, a sampled operation
+// allocates nothing.
+type scratch struct {
+	pr Proc
+	st OpStats
 }
 
-// telemetryProc returns a copy of p (hooks, ID, retire callback intact)
-// whose step counters point at st, so the operation's essential steps are
-// collected locally regardless of whether the caller passed its own Proc.
-func telemetryProc(p *Proc, st *OpStats) Proc {
-	var pr Proc
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns scratch whose Proc is a copy of p (hooks, ID, retire
+// callback and epoch pin intact) counting into the scratch's own zeroed
+// OpStats, so the operation's essential steps are collected locally
+// whether or not the caller passed its own Proc.
+func getScratch(p *Proc) *scratch {
+	sc := scratchPool.Get().(*scratch)
 	if p != nil {
-		pr = *p
+		sc.pr = *p
 	}
-	pr.Stats = st
-	return pr
+	sc.st = OpStats{}
+	sc.pr.Stats = &sc.st
+	return sc
 }
 
-// finishSampled records one sampled operation and mirrors the locally
-// collected steps into the caller's own counters, if it brought any, so an
-// instrumented benchmark sees exactly what the live metrics see.
-func finishSampled(rec *telemetry.Recorder, tok telemetry.OpToken, op telemetry.Op, p *Proc, st *OpStats) {
-	rec.FinishOp(tok, op, st)
+// finish records one sampled operation, mirrors the locally collected
+// steps into the caller's own counters, if it brought any, so an
+// instrumented benchmark sees exactly what the live metrics see, and
+// returns sc to the pool.
+func (sc *scratch) finish(rec *telemetry.Recorder, tok telemetry.OpToken, op telemetry.Op, p *Proc) {
+	rec.FinishOp(tok, op, &sc.st)
 	if outer := p.StatsOrNil(); outer != nil {
-		outer.Add(st)
+		outer.Add(&sc.st)
 	}
-	statsPool.Put(st)
+	sc.pr = Proc{} // hold no caller hooks or pins while pooled
+	scratchPool.Put(sc)
 }
 
 // Search looks up k and returns its node, or nil if k is absent.
@@ -90,10 +103,9 @@ func (l *List[K, V]) Search(p *Proc, k K) *Node[K, V] {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return n
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n := l.search(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	sc := getScratch(p)
+	n := l.search(&sc.pr, k)
+	sc.finish(l.tel, tok, telemetry.OpGet, p)
 	return n
 }
 
@@ -109,10 +121,9 @@ func (l *List[K, V]) Get(p *Proc, k K) (V, bool) {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return v, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	v, ok := l.get(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	sc := getScratch(p)
+	v, ok := l.get(&sc.pr, k)
+	sc.finish(l.tel, tok, telemetry.OpGet, p)
 	return v, ok
 }
 
@@ -130,10 +141,9 @@ func (l *List[K, V]) Insert(p *Proc, k K, v V) (*Node[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.insert(&pr, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, st)
+	sc := getScratch(p)
+	n, ok := l.insert(&sc.pr, k, v)
+	sc.finish(l.tel, tok, telemetry.OpInsert, p)
 	return n, ok
 }
 
@@ -151,10 +161,9 @@ func (l *List[K, V]) Delete(p *Proc, k K) (*Node[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.remove(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, st)
+	sc := getScratch(p)
+	n, ok := l.remove(&sc.pr, k)
+	sc.finish(l.tel, tok, telemetry.OpDelete, p)
 	return n, ok
 }
 
@@ -187,10 +196,9 @@ func (l *SkipList[K, V]) Search(p *Proc, k K) *SLNode[K, V] {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return n
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n := l.search(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	sc := getScratch(p)
+	n := l.search(&sc.pr, k)
+	sc.finish(l.tel, tok, telemetry.OpGet, p)
 	return n
 }
 
@@ -206,10 +214,9 @@ func (l *SkipList[K, V]) Get(p *Proc, k K) (V, bool) {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return v, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	v, ok := l.get(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	sc := getScratch(p)
+	v, ok := l.get(&sc.pr, k)
+	sc.finish(l.tel, tok, telemetry.OpGet, p)
 	return v, ok
 }
 
@@ -228,10 +235,9 @@ func (l *SkipList[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.insert(&pr, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, st)
+	sc := getScratch(p)
+	n, ok := l.insert(&sc.pr, k, v)
+	sc.finish(l.tel, tok, telemetry.OpInsert, p)
 	return n, ok
 }
 
@@ -250,10 +256,9 @@ func (l *SkipList[K, V]) Delete(p *Proc, k K) (*SLNode[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.remove(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, st)
+	sc := getScratch(p)
+	n, ok := l.remove(&sc.pr, k)
+	sc.finish(l.tel, tok, telemetry.OpDelete, p)
 	return n, ok
 }
 
@@ -298,8 +303,7 @@ func (l *SkipList[K, V]) AscendRange(p *Proc, from, to K, fn func(k K, v V) bool
 		l.tel.FinishOp(tok, telemetry.OpAscend, nil)
 		return
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	l.ascendRange(&pr, from, to, fn)
-	finishSampled(l.tel, tok, telemetry.OpAscend, p, st)
+	sc := getScratch(p)
+	l.ascendRange(&sc.pr, from, to, fn)
+	sc.finish(l.tel, tok, telemetry.OpAscend, p)
 }

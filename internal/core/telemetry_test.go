@@ -203,3 +203,75 @@ func TestTelemetryNegativeElapsedClamped(t *testing.T) {
 		t.Fatalf("clamped sample missing: %+v", s.Ops[telemetry.OpGet].Latency)
 	}
 }
+
+// TestTelemetryRecycleCountersExact: with sampled telemetry, the
+// recorder's batch counters equal the reclamation domain's own counts,
+// whichever of telemetry and recycling is attached first. A sampled flush
+// would credit a whole drain to the one operation that triggered it, and
+// read 0 or the sampling period times the truth.
+func TestTelemetryRecycleCountersExact(t *testing.T) {
+	type recycling interface {
+		Insert(p *Proc, k, v int) bool
+		Delete(p *Proc, k int) bool
+		ForceReclaim(p *Proc)
+		RecycleCounts() (recycled, dropped uint64)
+		epoch() uint64
+	}
+	cases := map[string]func(*telemetry.Recorder) recycling{
+		"list/telemetry-first": func(rec *telemetry.Recorder) recycling {
+			l := NewList[int, int]()
+			l.SetTelemetry(rec)
+			l.EnableRecycling()
+			return listRecycling{l}
+		},
+		"list/recycling-first": func(rec *telemetry.Recorder) recycling {
+			l := NewList[int, int]()
+			l.EnableRecycling()
+			l.SetTelemetry(rec)
+			return listRecycling{l}
+		},
+		"skiplist": func(rec *telemetry.Recorder) recycling {
+			l := NewSkipList[int, int](WithRecycling(), WithRandomSource(xorshiftRng()))
+			l.SetTelemetry(rec)
+			return skipRecycling{l}
+		},
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			rec := telemetry.NewRecorder(1)
+			rec.SetSampleEvery(32)
+			d := build(rec)
+			for i := 0; i < 20_000; i++ {
+				k := i % 64
+				d.Insert(nil, k, k)
+				d.Delete(nil, k)
+			}
+			for i := 0; i < 4; i++ {
+				d.ForceReclaim(nil)
+			}
+			recycled, _ := d.RecycleCounts()
+			if recycled == 0 {
+				t.Fatal("churn recycled nothing")
+			}
+			c := rec.Snapshot().Counters
+			if c.NodesRecycled != recycled {
+				t.Errorf("recorder nodes_recycled = %d, domain recycled %d", c.NodesRecycled, recycled)
+			}
+			if c.EpochAdvances != d.epoch() {
+				t.Errorf("recorder ebr_epoch_advances = %d, domain epoch %d", c.EpochAdvances, d.epoch())
+			}
+		})
+	}
+}
+
+type listRecycling struct{ *List[int, int] }
+
+func (l listRecycling) Insert(p *Proc, k, v int) bool { _, ok := l.List.Insert(p, k, v); return ok }
+func (l listRecycling) Delete(p *Proc, k int) bool    { _, ok := l.List.Delete(p, k); return ok }
+func (l listRecycling) epoch() uint64                 { return l.rec.dom.Epoch() }
+
+type skipRecycling struct{ *SkipList[int, int] }
+
+func (l skipRecycling) Insert(p *Proc, k, v int) bool { _, ok := l.SkipList.Insert(p, k, v); return ok }
+func (l skipRecycling) Delete(p *Proc, k int) bool    { _, ok := l.SkipList.Delete(p, k); return ok }
+func (l skipRecycling) epoch() uint64                 { return l.rec.dom.Epoch() }

@@ -57,7 +57,22 @@ type Domain struct {
 	retired  atomic.Uint64
 	dropped  atomic.Uint64
 	recycled atomic.Uint64
+
+	// counters receives the batch events exactly; see SetCounters.
+	counters Counters
 }
+
+// Counters receives a domain's batch events (instrument.Counter.Batch):
+// epoch advances and recycled nodes. telemetry.Recorder implements it.
+type Counters interface {
+	AddCounter(c instrument.Counter, n uint64)
+}
+
+// SetCounters makes the domain report every epoch advance and every
+// recycled node to c as it happens, in addition to the OpStats of the
+// operation that triggered it; nil stops reporting. Set it before the
+// domain is shared (the field is read without synchronization).
+func (d *Domain) SetCounters(c Counters) { d.counters = c }
 
 // NewDomain returns an empty domain at epoch 0.
 func NewDomain() *Domain {
@@ -118,6 +133,9 @@ func (d *Domain) tryAdvance(st *instrument.OpStats) uint64 {
 	d.mu.Unlock()
 	if d.epoch.CompareAndSwap(e, e+1) {
 		st.IncEpochAdvance()
+		if d.counters != nil {
+			d.counters.AddCounter(instrument.CtrEpochAdvances, 1)
+		}
 	}
 	return d.epoch.Load()
 }

@@ -186,6 +186,9 @@ func (p *Pin) flushSlot(s *nodeSlot, st *instrument.OpStats) {
 		*r = retiree{}
 	}
 	st.IncRecycled(recycled)
+	if c := p.d.counters; c != nil {
+		c.AddCounter(instrument.CtrNodesRecycled, recycled)
+	}
 	p.d.freed.Add(uint64(len(s.nodes)))
 	p.d.recycled.Add(recycled)
 	s.nodes = s.nodes[:0]

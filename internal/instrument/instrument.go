@@ -233,6 +233,16 @@ func (c Counter) Essential() bool {
 // Delta of a gauge meaningless (read the Snapshot level instead).
 func (c Counter) Gauge() bool { return c == CtrConnActive }
 
+// Batch reports whether the counter counts a reclamation domain's batch
+// events: epoch advances and recycled nodes. One retire triggers a whole
+// drain, so the operation that happens to be sampled carries either none
+// of them or a batch, and a sampled estimate reads 0 or the sampling
+// period times the truth. The domain reports these exactly through
+// telemetry.Recorder.AddCounter (ebr.Domain.SetCounters), and the
+// recorder's per-operation flushes skip them. An OpStats still counts
+// them, so a caller's own Proc sees them exactly.
+func (c Counter) Batch() bool { return c == CtrEpochAdvances || c == CtrNodesRecycled }
+
 // EssentialSteps returns the total billed step count: the quantity the
 // paper's amortized analysis bounds by O(n(S) + c(S)) for the FR list, and
 // the comparable total for the baselines.

@@ -192,7 +192,8 @@ func (r *Recorder) SetSampleEvery(n int) {
 func (r *Recorder) SampleEvery() int { return int(r.sampleMask + 1) }
 
 // RecordOp flushes one completed operation into the recorder: its
-// essential-step counters, one latency sample, and one retry sample
+// essential-step counters (batch counters excepted, see
+// instrument.Counter.Batch), one latency sample, and one retry sample
 // (retries = failed C&S attempts). st may be nil for operations that carry
 // no step counters (e.g. iteration).
 func (r *Recorder) RecordOp(op Op, st *instrument.OpStats, elapsed time.Duration) {
@@ -200,7 +201,7 @@ func (r *Recorder) RecordOp(op Op, st *instrument.OpStats, elapsed time.Duration
 	var retries uint64
 	if st != nil {
 		for i, v := range st.Vector() {
-			if v != 0 {
+			if v != 0 && !instrument.Counter(i).Batch() {
 				sh.counters[i].Add(v)
 			}
 		}
@@ -279,8 +280,9 @@ func (r *Recorder) StartOp(op Op) OpToken {
 // FinishOp completes an operation begun with StartOp. The completed-op
 // count is recorded exactly, every time. For sampled tokens the
 // essential-step counters are flushed scaled by the sampling period — an
-// unbiased estimator of the true totals, and exact at period 1 — and one
-// latency and one retry sample land in the histograms. st is ignored (and
+// unbiased estimator of the true totals, and exact at period 1 (batch
+// counters are skipped, see instrument.Counter.Batch) — and one latency
+// and one retry sample land in the histograms. st is ignored (and
 // normally nil) for unsampled tokens.
 func (r *Recorder) FinishOp(tok OpToken, op Op, st *instrument.OpStats) {
 	sh := tok.sh
@@ -293,7 +295,7 @@ func (r *Recorder) FinishOp(tok OpToken, op Op, st *instrument.OpStats) {
 	var retries uint64
 	if st != nil {
 		for i, v := range st.Vector() {
-			if v != 0 {
+			if v != 0 && !instrument.Counter(i).Batch() {
 				sh.counters[i].Add(v * scale)
 			}
 		}

@@ -19,11 +19,17 @@
 //     serve Prometheus text exposition format over HTTP.
 //
 // Telemetry is opt-in. A structure built without WithTelemetry pays one
-// nil-check branch per operation and nothing else; an attached Telemetry
-// costs two monotonic clock reads plus one flush of striped,
-// cache-line-padded atomic counters per completed operation - never a
-// shared write per step. See DESIGN.md "Observability" for the mapping
-// from each metric to the paper's accounting.
+// nil-check branch per operation and nothing else. An attached Telemetry
+// counts every completed operation exactly, with one striped atomic add.
+// Only sampled operations - one in 16 by default, see WithSampleEvery -
+// count their steps, read the monotonic clock twice and flush into the
+// striped, cache-line-padded counters; never a shared write per step, and
+// no allocation. Step counters are therefore scaled estimates (sampled
+// operations' steps times the period: unbiased, and exact at period 1).
+// The recycling counters ebr_epoch_advances and nodes_recycled are exact
+// at any period: the reclamation domain reports them as they happen.
+// See DESIGN.md "Observability" for the mapping from each metric to the
+// paper's accounting.
 package telemetry
 
 import (
@@ -75,11 +81,13 @@ type cfg struct {
 // snapshot time but reduce flush contention at very high parallelism.
 func WithShards(n int) Option { return func(c *cfg) { c.shards = n } }
 
-// WithSampleEvery overrides the latency/retry histogram sampling period
-// (rounded up to a power of two; 1 samples every operation, the default is
-// one in 16). Step counters and operation counts are always exact;
-// sampling only bounds how often an operation pays for clock reads and
-// histogram updates.
+// WithSampleEvery overrides the sampling period (rounded up to a power of
+// two; 1 samples every operation, the default is one in 16). Operation
+// counts are always exact. Step counters and the latency and retry
+// histograms come from sampled operations only; step counters are scaled
+// by the period, so they are unbiased estimates, exact only at period 1.
+// Sampling bounds how often an operation pays for step accounting, clock
+// reads and histogram updates.
 func WithSampleEvery(n int) Option { return func(c *cfg) { c.sampleEvery = n } }
 
 // registry holds every live instance for the package-level Handler.
